@@ -13,7 +13,7 @@ use crate::dist::ColorMsg;
 use cmg_graph::util::vertex_priority;
 use cmg_graph::VertexId;
 use cmg_partition::DistGraph;
-use cmg_runtime::{wire_codec, ProgramSnapshot, Rank, RankCtx, RankProgram, Status};
+use cmg_runtime::{wire_codec, DestDedup, ProgramSnapshot, Rank, RankCtx, RankProgram, Status};
 
 wire_codec! {
     /// Snapshot records of [`JonesPlassmann`]: assigned colors (owned
@@ -211,8 +211,8 @@ pub struct JonesPlassmann {
     pending: Vec<u32>,
     forbidden: Vec<u64>,
     stamp: u64,
-    dest_seen: Vec<u32>,
-    dest_stamp: u32,
+    /// Ranks the current announcement has already gone to.
+    dests: DestDedup,
     /// Priority seed, kept so restore can rebuild `priority`.
     seed: u64,
 }
@@ -224,15 +224,13 @@ impl JonesPlassmann {
         let priority = (0..n_total)
             .map(|i| vertex_priority(dg.global_ids[i] as u64, seed))
             .collect();
-        let p = dg.num_ranks as usize;
         JonesPlassmann {
             color: vec![UNCOLORED; n_total],
             priority,
             pending: (0..dg.n_local as u32).collect(),
             forbidden: vec![u64::MAX; n_total + 2],
             stamp: 0,
-            dest_seen: vec![u32::MAX; p],
-            dest_stamp: 0,
+            dests: DestDedup::default(),
             seed,
             dg,
         }
@@ -279,7 +277,7 @@ impl JonesPlassmann {
             }
             self.color[v as usize] = c;
             // Announce to ranks owning a neighbor, once each.
-            self.dest_stamp += 1;
+            self.dests.clear();
             let msg = ColorMsg::Color {
                 v: self.dg.global_ids[v as usize],
                 color: c,
@@ -288,8 +286,7 @@ impl JonesPlassmann {
                 let u = self.dg.adj[i];
                 if self.dg.is_ghost(u) {
                     let owner = self.dg.owner(u);
-                    if self.dest_seen[owner as usize] != self.dest_stamp {
-                        self.dest_seen[owner as usize] = self.dest_stamp;
+                    if self.dests.first(owner) {
                         ctx.send(owner, &msg);
                     }
                 }

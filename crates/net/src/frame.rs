@@ -342,8 +342,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u64, Frame)>, NetError> {
             )))
         }
     };
-    let consumed = before - cursor.len();
-    let payload = Bytes::from(&body[8 + consumed..]);
+    let header = 8 + before - cursor.len();
+    // The payload is a view into the body just read: no copy.
+    let payload = Bytes::from(body).slice(header..);
     Ok(Some((seq, Frame { ctrl, payload })))
 }
 
@@ -499,6 +500,50 @@ mod tests {
             assert_eq!(&got, f);
         }
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A reader that records the address and length of every buffer
+    /// it fills.
+    struct RecordingReader<'a> {
+        src: &'a [u8],
+        fills: Vec<(usize, usize)>,
+    }
+
+    impl Read for RecordingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.src.len());
+            buf[..n].copy_from_slice(&self.src[..n]);
+            self.src = &self.src[n..];
+            self.fills.push((buf.as_ptr() as usize, n));
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_frame_payload_aliases_the_body_it_read() {
+        let ctrl = Ctrl::RoundBundle {
+            round: 5,
+            src: 1,
+            npackets: 3,
+            sent_micros: 77,
+        };
+        let payload: Vec<u8> = (0..=255u8).collect();
+        let wire = encode_frame(4, &Frame::with_payload(ctrl, Bytes::from(payload.clone())));
+        let mut reader = RecordingReader {
+            src: &wire,
+            fills: Vec::new(),
+        };
+        let (seq, frame) = read_frame(&mut reader).unwrap().unwrap();
+        assert_eq!((seq, &frame.payload[..]), (4, &payload[..]));
+        // The last fill is the body (seq + control word + payload); the
+        // payload must point into it, right past the header.
+        let (body_at, body_len) = *reader.fills.last().unwrap();
+        assert_eq!(body_len, wire.len() - 4);
+        assert_eq!(
+            frame.payload.as_ptr() as usize,
+            body_at + 8 + ctrl.encoded_len(),
+            "payload was copied out of the body"
+        );
     }
 
     #[test]

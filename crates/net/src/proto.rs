@@ -70,20 +70,32 @@ fn take_len(buf: &mut impl Buf, elem_size: usize, what: &str) -> Result<usize, N
     Ok(n)
 }
 
-fn put_u32s(out: &mut impl BufMut, xs: &[u32]) {
+/// Appends a length-prefixed array of fixed-width elements: a `u64`
+/// count, then `N` little-endian bytes per element, written in one
+/// bulk pass over the output.
+fn put_array<T: Copy, const N: usize>(out: &mut Vec<u8>, xs: &[T], to_le: impl Fn(T) -> [u8; N]) {
     out.put_u64_le(xs.len() as u64);
-    for &x in xs {
-        out.put_u32_le(x);
+    let start = out.len();
+    out.resize(start + xs.len() * N, 0);
+    for (dst, &x) in out[start..].chunks_exact_mut(N).zip(xs) {
+        dst.copy_from_slice(&to_le(x));
     }
 }
 
-fn take_u32s(buf: &mut impl Buf, what: &str) -> Result<Vec<u32>, NetError> {
-    let n = take_len(buf, 4, what)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(buf.get_u32_le());
-    }
-    Ok(out)
+/// Reads an array written by [`put_array`]. The length prefix is
+/// checked against the bytes present before anything is allocated.
+fn take_array<T, const N: usize>(
+    buf: &mut &[u8],
+    what: &str,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, NetError> {
+    let n = take_len(buf, N, what)?;
+    let (head, rest) = buf.split_at(n * N);
+    *buf = rest;
+    Ok(head
+        .chunks_exact(N)
+        .map(|c| from_le(std::array::from_fn(|i| c[i])))
+        .collect())
 }
 
 /// Everything a worker needs to run its rank: the partition slice, the
@@ -304,40 +316,44 @@ fn decode_options(buf: &mut impl Buf) -> Result<RunOptions, NetError> {
     })
 }
 
-/// Serializes a rank's assignment (partition slice + task + options).
-pub fn encode_assignment(a: &Assignment) -> Vec<u8> {
-    let dg = &a.dg;
+/// Serializes a rank's assignment: partition slice, task, options and
+/// the optional resume section (`(round, checkpoint blob)`). The parts
+/// are borrowed so the supervisor encodes straight from the partition
+/// slices it retains; [`decode_assignment`] reads the result back as
+/// an [`Assignment`].
+pub fn encode_assignment(
+    dg: &DistGraph,
+    task: &NetTask,
+    opts: &RunOptions,
+    resume: Option<(u64, &[u8])>,
+) -> Vec<u8> {
+    let u32s = dg.adj.len() + dg.global_ids.len() + dg.ghost_owner.len() + dg.neighbor_ranks.len();
     let mut out = Vec::with_capacity(
-        64 + dg.xadj.len() * 8 + dg.adj.len() * 4 + dg.weights.len() * 8 + dg.global_ids.len() * 4,
+        256 + dg.xadj.len() * 8
+            + u32s * 4
+            + dg.weights.len() * 8
+            + dg.is_boundary.len()
+            + resume.map_or(0, |(_, blob)| blob.len()),
     );
     out.put_u32_le(dg.rank);
     out.put_u32_le(dg.num_ranks);
     out.put_u64_le(dg.n_local as u64);
-    out.put_u64_le(dg.xadj.len() as u64);
-    for &x in &dg.xadj {
-        out.put_u64_le(x as u64);
-    }
-    put_u32s(&mut out, &dg.adj);
-    out.put_u64_le(dg.weights.len() as u64);
-    for &w in &dg.weights {
-        out.put_f64_le(w);
-    }
-    put_u32s(&mut out, &dg.global_ids);
-    put_u32s(&mut out, &dg.ghost_owner);
-    out.put_u64_le(dg.is_boundary.len() as u64);
-    for &b in &dg.is_boundary {
-        out.put_u8(u8::from(b));
-    }
-    put_u32s(&mut out, &dg.neighbor_ranks);
-    encode_task(&mut out, &a.task);
-    encode_options(&mut out, &a.opts);
-    match &a.resume {
+    put_array(&mut out, &dg.xadj, |x| (x as u64).to_le_bytes());
+    put_array(&mut out, &dg.adj, u32::to_le_bytes);
+    put_array(&mut out, &dg.weights, f64::to_le_bytes);
+    put_array(&mut out, &dg.global_ids, u32::to_le_bytes);
+    put_array(&mut out, &dg.ghost_owner, u32::to_le_bytes);
+    put_array(&mut out, &dg.is_boundary, |b| [u8::from(b)]);
+    put_array(&mut out, &dg.neighbor_ranks, u32::to_le_bytes);
+    encode_task(&mut out, task);
+    encode_options(&mut out, opts);
+    match resume {
         None => out.put_u8(0),
-        Some(r) => {
+        Some((round, blob)) => {
             out.put_u8(1);
-            out.put_u64_le(r.round);
-            out.put_u64_le(r.payload.len() as u64);
-            out.extend_from_slice(&r.payload);
+            out.put_u64_le(round);
+            out.put_u64_le(blob.len() as u64);
+            out.extend_from_slice(blob);
         }
     }
     out
@@ -350,36 +366,21 @@ pub fn decode_assignment(mut buf: &[u8]) -> Result<Assignment, NetError> {
     let rank = take_u32(buf, "rank")?;
     let num_ranks = take_u32(buf, "num_ranks")?;
     let n_local = take_u64(buf, "n_local")? as usize;
-    let n_xadj = take_len(buf, 8, "xadj")?;
-    let mut xadj = Vec::with_capacity(n_xadj);
-    for _ in 0..n_xadj {
-        xadj.push(buf.get_u64_le() as usize);
-    }
-    let adj = take_u32s(buf, "adj")?;
-    let n_weights = take_len(buf, 8, "weights")?;
-    let mut weights = Vec::with_capacity(n_weights);
-    for _ in 0..n_weights {
-        weights.push(buf.get_f64_le());
-    }
-    let global_ids = take_u32s(buf, "global_ids")?;
-    let ghost_owner = take_u32s(buf, "ghost_owner")?;
-    let n_boundary = take_len(buf, 1, "is_boundary")?;
-    let mut is_boundary = Vec::with_capacity(n_boundary);
-    for _ in 0..n_boundary {
-        is_boundary.push(buf.get_u8() != 0);
-    }
-    let neighbor_ranks = take_u32s(buf, "neighbor_ranks")?;
+    let xadj = take_array(buf, "xadj", |b| u64::from_le_bytes(b) as usize)?;
+    let adj = take_array(buf, "adj", u32::from_le_bytes)?;
+    let weights = take_array(buf, "weights", f64::from_le_bytes)?;
+    let global_ids = take_array(buf, "global_ids", u32::from_le_bytes)?;
+    let ghost_owner = take_array(buf, "ghost_owner", u32::from_le_bytes)?;
+    let is_boundary = take_array(buf, "is_boundary", |[b]| b != 0)?;
+    let neighbor_ranks = take_array(buf, "neighbor_ranks", u32::from_le_bytes)?;
     let task = decode_task(buf)?;
     let opts = decode_options(buf)?;
     let resume = match take_u8(buf, "resume flag")? {
         0 => None,
-        1 => {
-            let round = take_u64(buf, "resume round")?;
-            let n = take_len(buf, 1, "resume payload")?;
-            let mut payload = vec![0u8; n];
-            buf.copy_to_slice(&mut payload);
-            Some(ResumeFrom { round, payload })
-        }
+        1 => Some(ResumeFrom {
+            round: take_u64(buf, "resume round")?,
+            payload: take_array(buf, "resume payload", |[b]| b)?,
+        }),
         t => return Err(NetError::protocol(format!("unknown resume flag {t}"))),
     };
 
@@ -398,6 +399,7 @@ pub fn decode_assignment(mut buf: &[u8]) -> Result<Assignment, NetError> {
         )));
     }
     let mut global_to_local = FxHashMap::default();
+    global_to_local.reserve(global_ids.len());
     for (i, &g) in global_ids.iter().enumerate() {
         global_to_local.insert(g, i as u32);
     }
@@ -862,6 +864,11 @@ mod tests {
     use cmg_graph::GraphBuilder;
     use cmg_partition::Partition;
 
+    fn encode(a: &Assignment) -> Vec<u8> {
+        let resume = a.resume.as_ref().map(|r| (r.round, &r.payload[..]));
+        encode_assignment(&a.dg, &a.task, &a.opts, resume)
+    }
+
     fn sample_dist_graph() -> DistGraph {
         // A 6-cycle split across 2 ranks: real ghosts, boundaries,
         // weights.
@@ -912,7 +919,7 @@ mod tests {
                 },
                 resume: None,
             };
-            let bytes = encode_assignment(&a);
+            let bytes = encode(&a);
             let back = decode_assignment(&bytes).unwrap();
             assert_eq!(back, a);
             assert_eq!(back.dg.global_to_local, a.dg.global_to_local);
@@ -925,41 +932,167 @@ mod tests {
                 }),
                 ..a
             };
-            let bytes = encode_assignment(&resumed);
+            let bytes = encode(&resumed);
             assert_eq!(decode_assignment(&bytes).unwrap(), resumed);
         }
     }
 
-    #[test]
-    fn truncated_assignment_is_a_protocol_error_not_a_panic() {
-        let a = Assignment {
+    /// A fixed assignment exercising every section of the layout:
+    /// weights, ghosts, boundaries, a coloring task, non-default
+    /// options and a resume blob.
+    fn pinned_assignment() -> Assignment {
+        Assignment {
             dg: sample_dist_graph(),
-            task: NetTask::Matching,
-            opts: RunOptions::default(),
-            resume: None,
-        };
-        let bytes = encode_assignment(&a);
-        for cut in [0, 1, 9, bytes.len() / 2, bytes.len() - 1] {
-            let err = decode_assignment(&bytes[..cut]).err();
-            assert!(err.is_some(), "cut at {cut} must fail");
+            task: NetTask::Coloring(ColoringConfig {
+                superstep_size: 5,
+                comm: CommVariant::Fiab,
+                color_choice: ColorChoice::FirstFit,
+                order: LocalOrder::InteriorFirst,
+                seed: 7,
+            }),
+            opts: RunOptions {
+                max_rounds: 321,
+                die_at_round: 9,
+                run_id: 0x0123_4567_89AB_CDEF,
+                checkpoint_every: 2,
+                ..RunOptions::default()
+            },
+            resume: Some(ResumeFrom {
+                round: 4,
+                payload: vec![0xA5; 11],
+            }),
         }
     }
 
     #[test]
-    fn corrupt_length_prefix_is_rejected_before_allocating() {
-        // A huge u64 length prefix right at the xadj length slot.
-        let mut bytes = Vec::new();
-        bytes.put_u32_le(0); // rank
-        bytes.put_u32_le(1); // num_ranks
-        bytes.put_u64_le(3); // n_local
-        bytes.put_u64_le(u64::MAX); // absurd xadj length
-        let err = decode_assignment(&bytes).err();
-        assert!(err.is_some());
-        let msg = err
-            .into_iter()
-            .next()
-            .map_or_else(String::new, |e| e.to_string());
-        assert!(msg.contains("length prefix"), "{msg}");
+    fn assignment_wire_bytes_are_pinned() {
+        // The assignment codec is hand-written, so cmg-analyze's
+        // wire-drift rule does not see it. This FNV-1a pin catches any
+        // change to its byte layout; a deliberate change needs a
+        // PROTO_VERSION bump and a new pin.
+        let bytes = encode(&pinned_assignment());
+        assert_eq!(bytes.len(), 335);
+        assert_eq!(
+            cmg_runtime::delivery::payload_fingerprint(&bytes),
+            0xB977_4EEE_F62C_3A3B,
+            "assignment wire layout changed"
+        );
+        assert_eq!(decode_assignment(&bytes).unwrap(), pinned_assignment());
+    }
+
+    /// Measures the largest single allocation the current thread makes,
+    /// so decoder tests can check that lying input never drives an
+    /// allocation past the bytes actually present.
+    mod peak_alloc {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static PEAK: Cell<Option<usize>> = const { Cell::new(None) };
+        }
+
+        struct Probe;
+
+        #[global_allocator]
+        static PROBE: Probe = Probe;
+
+        fn note(size: usize) {
+            let _ = PEAK.try_with(|p| {
+                if let Some(peak) = p.get() {
+                    p.set(Some(peak.max(size)));
+                }
+            });
+        }
+
+        // SAFETY: every method forwards to `System` with the caller's
+        // own arguments; the probe only records sizes.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        /// Runs `f`, returning its result and the largest allocation
+        /// (bytes) this thread requested meanwhile.
+        pub fn largest_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+            PEAK.with(|p| p.set(Some(0)));
+            let r = f();
+            let peak = PEAK.with(|p| p.take()).unwrap_or(0);
+            (r, peak)
+        }
+    }
+
+    /// Room for the error message a failed decode formats.
+    const ERROR_SLACK: usize = 256;
+
+    #[test]
+    fn every_truncation_of_an_assignment_fails_within_its_bytes() {
+        let bytes = encode(&pinned_assignment());
+        for cut in 0..bytes.len() {
+            let (res, peak) = peak_alloc::largest_during(|| decode_assignment(&bytes[..cut]));
+            assert!(res.is_err(), "cut at {cut} must fail");
+            assert!(
+                peak <= cut + ERROR_SLACK,
+                "cut at {cut}: allocated {peak} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn lying_assignment_length_prefixes_fail_before_allocating() {
+        let a = pinned_assignment();
+        let bytes = encode(&a);
+        let dg = &a.dg;
+        // (offset of each u64 length prefix, element width) in layout
+        // order; the resume blob's prefix sits before its 11 bytes.
+        let mut prefixes = Vec::new();
+        let mut at = 16;
+        for (len, width) in [
+            (dg.xadj.len(), 8),
+            (dg.adj.len(), 4),
+            (dg.weights.len(), 8),
+            (dg.global_ids.len(), 4),
+            (dg.ghost_owner.len(), 4),
+            (dg.is_boundary.len(), 1),
+            (dg.neighbor_ranks.len(), 4),
+        ] {
+            prefixes.push((at, width));
+            at += 8 + len * width;
+        }
+        prefixes.push((bytes.len() - 11 - 8, 1));
+        for &(at, width) in &prefixes {
+            let mut prefix = &bytes[at..at + 8];
+            let honest = prefix.get_u64_le() as usize;
+            let remaining = bytes.len() - at - 8;
+            assert!(honest * width <= remaining, "offset {at} is not a prefix");
+            for claim in [(remaining / width + 1) as u64, 1 << 20, 1 << 62, u64::MAX] {
+                let mut lying = bytes.clone();
+                lying[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+                let (res, peak) = peak_alloc::largest_during(|| decode_assignment(&lying));
+                let msg = res.err().map(|e| e.to_string()).unwrap_or_default();
+                assert!(
+                    msg.contains("length prefix"),
+                    "claim {claim} at offset {at}: {msg:?}"
+                );
+                assert!(
+                    peak <= lying.len() + ERROR_SLACK,
+                    "claim {claim} at offset {at}: allocated {peak} bytes"
+                );
+            }
+        }
     }
 
     #[test]

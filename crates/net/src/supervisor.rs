@@ -36,8 +36,8 @@ use crate::error::NetError;
 use crate::frame::{read_frame, Ctrl, Frame, PROTO_VERSION};
 use crate::link::{FaultPlan, LinkStats, LinkWriter};
 use crate::proto::{
-    decode_outcome, decode_stats, decode_telemetry, encode_assignment, Assignment, ClockReport,
-    NetTask, ResumeFrom, RunOptions, WorkerOutcome, NEVER,
+    decode_outcome, decode_stats, decode_telemetry, encode_assignment, ClockReport, NetTask,
+    RunOptions, WorkerOutcome, NEVER,
 };
 use crate::worker::NO_STAMP;
 use bytes::Bytes;
@@ -786,31 +786,34 @@ struct LaunchPlan<'a> {
 }
 
 impl LaunchPlan<'_> {
-    /// Builds `rank`'s assignment — the one payload both fleet
+    /// Encodes `rank`'s assignment — the one payload both fleet
     /// launches and session retasks ship, so run options can never
-    /// drift between the two paths.
-    fn assignment_for(&self, rank: u32) -> Assignment {
-        Assignment {
-            dg: self.parts[rank as usize].clone(),
-            task: self.task,
-            opts: RunOptions {
-                bundling: true,
-                observed: self.observed,
-                max_rounds: self.cfg.max_rounds,
-                heartbeat_millis: self.cfg.heartbeat.as_millis() as u64,
-                gap_deadline_millis: self.cfg.gap_deadline.as_millis() as u64,
-                fault: self.cfg.fault,
-                die_at_round: self.kill.die_at_round(rank),
-                run_id: self.run_id,
-                telemetry: self.cfg.telemetry,
-                event_loop: self.cfg.event_loop,
-                checkpoint_every: self.cfg.checkpoint_every,
-            },
-            resume: self.resume.map(|(round, payloads)| ResumeFrom {
-                round: *round,
-                payload: payloads[rank as usize].clone(),
-            }),
-        }
+    /// drift between the two paths. Encodes straight from the retained
+    /// partition slice and checkpoint blob, without copying either
+    /// first.
+    fn assignment_for(&self, rank: u32) -> Bytes {
+        let opts = RunOptions {
+            bundling: true,
+            observed: self.observed,
+            max_rounds: self.cfg.max_rounds,
+            heartbeat_millis: self.cfg.heartbeat.as_millis() as u64,
+            gap_deadline_millis: self.cfg.gap_deadline.as_millis() as u64,
+            fault: self.cfg.fault,
+            die_at_round: self.kill.die_at_round(rank),
+            run_id: self.run_id,
+            telemetry: self.cfg.telemetry,
+            event_loop: self.cfg.event_loop,
+            checkpoint_every: self.cfg.checkpoint_every,
+        };
+        let resume = self
+            .resume
+            .map(|(round, payloads)| (*round, &payloads[rank as usize][..]));
+        Bytes::from(encode_assignment(
+            &self.parts[rank as usize],
+            &self.task,
+            &opts,
+            resume,
+        ))
     }
 }
 
@@ -991,11 +994,10 @@ fn admit(
     if slot.is_some() {
         return Err(NetError::protocol(format!("rank {rank} dialed twice")));
     }
-    let assignment = plan.assignment_for(rank);
     let mut writer = LinkWriter::new(stream);
     writer.send(&Frame::with_payload(
         Ctrl::Assignment { rank },
-        Bytes::from(encode_assignment(&assignment)),
+        plan.assignment_for(rank),
     ))?;
     *slot = Some(writer);
     let tx = tx.clone();
@@ -1152,10 +1154,9 @@ impl Run {
         };
         for (rank, w) in self.writers.iter_mut().enumerate() {
             let rank = rank as u32;
-            let assignment = plan.assignment_for(rank);
             w.send(&Frame::with_payload(
                 Ctrl::Assignment { rank },
-                Bytes::from(encode_assignment(&assignment)),
+                plan.assignment_for(rank),
             ))?;
         }
         let n = self.num_ranks as usize;

@@ -509,8 +509,15 @@ impl Transport {
     /// pipeline up to one round apart.
     fn wait_wave(&mut self, round: u64) -> Result<bool, NetError> {
         let expected = (self.num_ranks - 1) as usize;
-        while !self.wave.ready(round as u32, expected) {
+        // Flush before the first readiness check: when every peer's
+        // announcement is already here, this rank must not move on
+        // with its own announcement still in the coalescing batch —
+        // its peers would wait for it until this rank next blocks.
+        loop {
             self.flush_all()?;
+            if self.wave.ready(round as u32, expected) {
+                break;
+            }
             self.pump(PUMP_TICK)?;
             self.check_gaps()?;
         }

@@ -18,6 +18,10 @@ use cmg_graph::{CsrGraph, VertexId, Weight};
 /// the numeric type matches `cmg_runtime::Rank`).
 pub type Rank = u32;
 
+/// Empty slot of the global→local table [`DistGraph::build_all`] uses
+/// while it builds a rank.
+const UNMAPPED: u32 = u32::MAX;
+
 /// One rank's piece of a distributed graph.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DistGraph {
@@ -62,8 +66,12 @@ impl DistGraph {
             owned[partition.owner(v) as usize].push(v);
         }
 
+        // One global→local table shared by every rank; each build
+        // resets the entries it set, so the table is clean again for
+        // the next rank.
+        let mut local = vec![UNMAPPED; g.num_vertices()];
         (0..p)
-            .map(|rank| Self::build_one(g, partition, rank, &owned[rank as usize]))
+            .map(|rank| Self::build_one(g, partition, rank, &owned[rank as usize], &mut local))
             .collect()
     }
 
@@ -80,50 +88,64 @@ impl DistGraph {
         let owned: Vec<VertexId> = (0..g.num_vertices() as VertexId)
             .filter(|&v| partition.owner(v) == rank)
             .collect();
-        Self::build_one(g, partition, rank, &owned)
+        let mut local = vec![UNMAPPED; g.num_vertices()];
+        Self::build_one(g, partition, rank, &owned, &mut local)
     }
 
-    fn build_one(g: &CsrGraph, partition: &Partition, rank: Rank, owned: &[VertexId]) -> DistGraph {
+    /// Builds `rank`'s local graph from `owned`, which must hold every
+    /// vertex the partition assigns to `rank`. `local` is an
+    /// n-length global→local table that is all [`UNMAPPED`] on entry
+    /// and is left that way on return.
+    fn build_one(
+        g: &CsrGraph,
+        partition: &Partition,
+        rank: Rank,
+        owned: &[VertexId],
+        local: &mut [u32],
+    ) -> DistGraph {
         let n_local = owned.len();
         let mut global_ids: Vec<VertexId> = owned.to_vec();
-        let mut global_to_local: FxHashMap<VertexId, u32> = FxHashMap::default();
         for (i, &v) in owned.iter().enumerate() {
-            global_to_local.insert(v, i as u32);
+            local[v as usize] = i as u32;
         }
 
         // Discover ghosts in deterministic order (scan owned adjacency).
+        // Every vertex of this rank is already mapped, so an unmapped
+        // neighbor is a ghost seen for the first time.
         let mut ghost_owner: Vec<Rank> = Vec::new();
+        let mut n_adj = 0;
         for &v in owned {
-            for &u in g.neighbors(v) {
-                let o = partition.owner(u);
-                if o != rank && !global_to_local.contains_key(&u) {
-                    let idx = (n_local + ghost_owner.len()) as u32;
-                    global_to_local.insert(u, idx);
+            let nbrs = g.neighbors(v);
+            n_adj += nbrs.len();
+            for &u in nbrs {
+                if local[u as usize] == UNMAPPED {
+                    local[u as usize] = (n_local + ghost_owner.len()) as u32;
                     global_ids.push(u);
-                    ghost_owner.push(o);
+                    ghost_owner.push(partition.owner(u));
                 }
             }
         }
 
         // Local CSR over owned vertices.
+        let weighted = g.is_weighted();
         let mut xadj = Vec::with_capacity(n_local + 1);
         xadj.push(0usize);
-        let mut adj = Vec::new();
-        let mut weights = Vec::new();
-        let weighted = g.is_weighted();
+        let mut adj = Vec::with_capacity(n_adj);
+        let mut weights = Vec::with_capacity(if weighted { n_adj } else { 0 });
         let mut is_boundary = vec![false; n_local];
         for (i, &v) in owned.iter().enumerate() {
-            for (u, w) in g.neighbors_weighted(v) {
-                let lu = global_to_local[&u];
-                adj.push(lu);
-                if weighted {
-                    weights.push(w);
-                }
-                if lu as usize >= n_local {
-                    is_boundary[i] = true;
-                }
-            }
+            let row = adj.len();
+            adj.extend(g.neighbors(v).iter().map(|&u| local[u as usize]));
+            weights.extend_from_slice(g.neighbor_weights(v));
+            is_boundary[i] = adj[row..].iter().any(|&lu| lu as usize >= n_local);
             xadj.push(adj.len());
+        }
+
+        let mut global_to_local: FxHashMap<VertexId, u32> = FxHashMap::default();
+        global_to_local.reserve(global_ids.len());
+        for (i, &v) in global_ids.iter().enumerate() {
+            global_to_local.insert(v, i as u32);
+            local[v as usize] = UNMAPPED;
         }
 
         let mut neighbor_ranks: Vec<Rank> = ghost_owner.clone();
@@ -264,8 +286,9 @@ pub fn validate_distribution(g: &CsrGraph, parts: &[DistGraph]) -> Result<(), St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multilevel_partition;
     use crate::simple::{block_partition, grid2d_partition, hash_partition};
-    use cmg_graph::generators::grid2d;
+    use cmg_graph::generators::{erdos_renyi, grid2d};
     use cmg_graph::weights::{assign_weights, WeightScheme};
 
     #[test]
@@ -338,6 +361,94 @@ mod tests {
         assert_eq!(parts[3].n_local, 0);
         assert_eq!(parts[3].n_ghost(), 0);
         validate_distribution(&g, &parts).unwrap();
+    }
+
+    /// Checks one rank's local graph against `g` and `partition` from
+    /// first principles (no shared code with `build_one`).
+    fn check_rank(g: &CsrGraph, partition: &Partition, dg: &DistGraph) {
+        let rank = dg.rank;
+        let owned: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+            .filter(|&v| partition.owner(v) == rank)
+            .collect();
+        assert_eq!(dg.n_local, owned.len());
+        assert_eq!(&dg.global_ids[..dg.n_local], &owned[..]);
+
+        // Ghosts in first-discovery order over the owned adjacency.
+        let mut ghosts: Vec<VertexId> = Vec::new();
+        for &v in &owned {
+            for &u in g.neighbors(v) {
+                if partition.owner(u) != rank && !ghosts.contains(&u) {
+                    ghosts.push(u);
+                }
+            }
+        }
+        assert_eq!(&dg.global_ids[dg.n_local..], &ghosts[..]);
+        let owners: Vec<Rank> = ghosts.iter().map(|&u| partition.owner(u)).collect();
+        assert_eq!(dg.ghost_owner, owners);
+
+        // Local CSR maps back to g's adjacency, in order, with weights.
+        assert_eq!(dg.xadj.len(), dg.n_local + 1);
+        for (vl, &vg) in owned.iter().enumerate() {
+            let nbrs: Vec<VertexId> = dg
+                .neighbors(vl as u32)
+                .iter()
+                .map(|&ul| dg.global_ids[ul as usize])
+                .collect();
+            assert_eq!(nbrs, g.neighbors(vg));
+            assert_eq!(dg.neighbor_weights(vl as u32), g.neighbor_weights(vg));
+            let boundary = g.neighbors(vg).iter().any(|&u| partition.owner(u) != rank);
+            assert_eq!(dg.is_boundary[vl], boundary);
+        }
+        assert_eq!(dg.adj.len(), *dg.xadj.last().unwrap());
+        assert_eq!(
+            dg.weights.len(),
+            if g.is_weighted() { dg.adj.len() } else { 0 }
+        );
+
+        assert_eq!(dg.global_to_local.len(), dg.n_total());
+        for (i, gid) in dg.global_ids.iter().enumerate() {
+            assert_eq!(dg.global_to_local.get(gid), Some(&(i as u32)));
+        }
+        let mut neighbor_ranks = owners;
+        neighbor_ranks.sort_unstable();
+        neighbor_ranks.dedup();
+        assert_eq!(dg.neighbor_ranks, neighbor_ranks);
+        assert!(!dg.neighbor_ranks.contains(&rank));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn halo_build_matches_first_principles(
+            n in 1usize..90,
+            density in 0usize..4,
+            k in 1u32..7,
+            scheme in 0u8..3,
+            weighted in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let g = erdos_renyi(n, density * n, seed);
+            let g = if weighted {
+                assign_weights(&g, WeightScheme::Uniform { lo: 0.0, hi: 1.0 }, seed)
+            } else {
+                g
+            };
+            let partition = match scheme {
+                0 => block_partition(n, k),
+                1 => hash_partition(n, k, seed),
+                _ => multilevel_partition(&g, k, seed),
+            };
+            let parts = DistGraph::build_all(&g, &partition);
+            proptest::prop_assert_eq!(parts.len(), k as usize);
+            for (r, dg) in parts.iter().enumerate() {
+                proptest::prop_assert_eq!(dg.rank, r as Rank);
+                proptest::prop_assert_eq!(dg.num_ranks, k);
+                check_rank(&g, &partition, dg);
+                proptest::prop_assert_eq!(&DistGraph::build_for_rank(&g, &partition, r as Rank), dg);
+            }
+            validate_distribution(&g, &parts).unwrap();
+        }
     }
 
     #[test]

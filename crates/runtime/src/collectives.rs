@@ -260,37 +260,70 @@ pub enum FanoutScheme {
     Neighbor,
 }
 
+/// "Send to each of these ranks once": dedups a stream of destination
+/// ranks (a vertex's ghost owners, with repeats), keeping the first
+/// occurrence of each.
+///
+/// Its memory is the number of distinct ranks in one stream, not the
+/// rank count `p` — a p-length table in every rank would cost O(p²)
+/// over a run. Reuse one across streams; [`DestDedup::clear`] keeps
+/// the allocation.
+#[derive(Clone, Debug, Default)]
+pub struct DestDedup {
+    /// Ranks offered since the last clear, sorted.
+    seen: Vec<Rank>,
+}
+
+impl DestDedup {
+    /// Forgets every rank offered so far (start of a new stream).
+    #[inline]
+    pub fn clear(&mut self) {
+        self.seen.clear();
+    }
+
+    /// `true` the first time `rank` is offered since the last clear.
+    #[inline]
+    pub fn first(&mut self, rank: Rank) -> bool {
+        match self.seen.binary_search(&rank) {
+            Ok(_) => false,
+            Err(at) => {
+                self.seen.insert(at, rank);
+                true
+            }
+        }
+    }
+}
+
 /// Per-superstep boundary fan-out under a [`FanoutScheme`].
 ///
-/// Owns the two pieces of dedup state the schemes need — a stamped
-/// `dest_seen` array (O(1) superstep reset, no clearing loop) and
-/// FIAC's `content_sent` markers — and leaves everything else (what to
+/// Owns the two pieces of dedup state the schemes need — a
+/// [`DestDedup`] for one publish's ghost owners and, under FIAC only,
+/// the `content_sent` markers — and leaves everything else (what to
 /// send, when, what it costs) to the algorithm.
 #[derive(Clone, Debug)]
 pub struct NeighborExchange {
     scheme: FanoutScheme,
     rank: Rank,
     num_ranks: Rank,
-    /// Stamp-based dedup: `dest_seen[r] == dest_stamp` ⇔ already sent
-    /// to `r` this superstep.
-    dest_seen: Vec<u32>,
-    dest_stamp: u32,
-    /// FIAC only: which ranks received content this superstep (so
-    /// [`NeighborExchange::finish_superstep`] knows who still needs an
-    /// empty marker).
+    /// The ranks the current publish has already sent to.
+    dests: DestDedup,
+    /// FIAC only (empty otherwise): which ranks received content this
+    /// superstep (so [`NeighborExchange::finish_superstep`] knows who
+    /// still needs an empty marker). FIAC sends to all `p` ranks every
+    /// superstep anyway, so a p-length table costs it nothing extra.
     content_sent: Vec<bool>,
 }
 
 impl NeighborExchange {
     /// A fan-out helper for one rank under the given scheme.
     pub fn new(scheme: FanoutScheme, rank: Rank, num_ranks: Rank) -> Self {
+        let fiac = scheme == FanoutScheme::Fiac;
         NeighborExchange {
             scheme,
             rank,
             num_ranks,
-            dest_seen: vec![0; num_ranks as usize],
-            dest_stamp: 0,
-            content_sent: vec![false; num_ranks as usize],
+            dests: DestDedup::default(),
+            content_sent: vec![false; if fiac { num_ranks as usize } else { 0 }],
         }
     }
 
@@ -343,10 +376,9 @@ impl NeighborExchange {
                 }
             }
             FanoutScheme::Fiac | FanoutScheme::Neighbor => {
-                self.dest_stamp += 1;
+                self.dests.clear();
                 for owner in ghost_owners {
-                    if self.dest_seen[owner as usize] != self.dest_stamp {
-                        self.dest_seen[owner as usize] = self.dest_stamp;
+                    if self.dests.first(owner) {
                         ctx.send(owner, msg);
                         if self.scheme == FanoutScheme::Fiac {
                             self.content_sent[owner as usize] = true;
@@ -524,6 +556,30 @@ mod tests {
         x.publish(&mut c, [2u32, 1, 2].into_iter(), &7);
         x.finish_superstep(&mut c, &0);
         assert_eq!(sent_dests(&mut c), vec![1, 2]);
+    }
+
+    #[test]
+    fn dest_dedup_keeps_first_occurrences() {
+        let mut d = DestDedup::default();
+        let firsts: Vec<Rank> = [5u32, 2, 5, 9, 2, 0, 9]
+            .into_iter()
+            .filter(|&r| d.first(r))
+            .collect();
+        assert_eq!(firsts, vec![5, 2, 9, 0]);
+        d.clear();
+        assert!(d.first(5), "clear starts a new stream");
+    }
+
+    #[test]
+    fn neighbor_scheme_keeps_no_rank_count_state() {
+        // 16,384 ranks: the paper's largest run. Only FIAC holds a
+        // p-length table.
+        let p = 16_384;
+        for scheme in [FanoutScheme::Fiab, FanoutScheme::Neighbor] {
+            assert!(NeighborExchange::new(scheme, 3, p).content_sent.is_empty());
+        }
+        let x = NeighborExchange::new(FanoutScheme::Fiac, 3, p);
+        assert_eq!(x.content_sent.len(), p as usize);
     }
 
     #[test]

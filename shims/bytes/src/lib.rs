@@ -12,11 +12,12 @@ use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
 ///
-/// Internally an `Arc<[u8]>` plus a `[start, end)` window, so `clone` and
-/// [`Bytes::slice`] are O(1) and never copy the payload.
+/// Internally an `Arc<Vec<u8>>` plus a `[start, end)` window, so `clone`,
+/// [`Bytes::slice`], `From<Vec<u8>>` and [`BytesMut::freeze`] are O(1)
+/// and never copy the payload.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -24,11 +25,7 @@ pub struct Bytes {
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
-        Bytes {
-            data: Arc::from(&[][..]),
-            start: 0,
-            end: 0,
-        }
+        Bytes::from(Vec::new())
     }
 
     /// Number of bytes remaining in the view.
@@ -82,7 +79,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -150,7 +147,8 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Converts the accumulated bytes into an immutable [`Bytes`].
+    /// Converts the accumulated bytes into an immutable [`Bytes`]
+    /// without copying them.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -307,6 +305,25 @@ mod tests {
         assert_eq!(sliced.len(), 12);
         let mut whole = b.clone();
         assert_eq!(whole.get_u8(), 7);
+    }
+
+    #[test]
+    fn conversions_and_slices_share_one_allocation() {
+        let v = vec![1u8, 2, 3, 4, 5];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "From<Vec<u8>> must not copy");
+        let s = b.slice(2..4);
+        assert_eq!(s.as_ptr(), ptr.wrapping_add(2), "slice must alias");
+        assert_eq!(&s[..], &[3, 4]);
+        assert_eq!(b.clone().as_ptr(), ptr, "clone must alias");
+
+        let mut m = BytesMut::with_capacity(8);
+        m.put_u32_le(0xDEAD_BEEF);
+        let ptr = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), ptr, "freeze must not copy");
+        assert_eq!(frozen.slice(1..).as_ptr(), ptr.wrapping_add(1));
     }
 
     #[test]
