@@ -189,10 +189,12 @@ impl AnalyzeAllowlist {
 /// v4 widened the fingerprint itself: it covers `Ctrl` plus every
 /// `Snap`-suffixed snapshot record enum, because those encodings ride
 /// opaquely inside `Ctrl::Checkpoint` payloads and resume assignments.
+/// v6 retired the tree-barrier control words (tags 5 and 6).
 pub const WIRE_BASELINES: &[(u64, u64)] = &[
     (3, 0xec5d_285e_8cd8_0aa1),
     (4, 0x4956_cc56_edbc_cd90),
     (5, 0x1f0f_d877_76a1_24b0),
+    (6, 0x051c_a52c_8206_83e1),
 ];
 
 /// The analysis result for one workspace.

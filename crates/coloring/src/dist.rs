@@ -257,7 +257,7 @@ pub struct DistColoring {
     /// Per-phase conflict-count allreduce (8-ary tree: the shallow
     /// fan-out mirrors optimized MPI collectives — Blue Gene/P even has
     /// a dedicated hardware tree network for them).
-    allreduce: TreeAllreduce<u64>,
+    allreduce: TreeAllreduce,
     detection_done: bool,
     my_conflicts: u64,
     interior_colored: bool,

@@ -220,7 +220,7 @@ pub struct DistColoring2 {
     done: DoneWave,
     done2: DoneWave,
     /// Per-phase conflict-count allreduce (8-ary tree, as in d1).
-    allreduce: TreeAllreduce<u64>,
+    allreduce: TreeAllreduce,
     detection_done: bool,
     /// Scratch for forbidden-color computation.
     forbidden: Vec<u64>,

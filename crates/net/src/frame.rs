@@ -34,8 +34,12 @@ use std::io::{Read, Write};
 /// [`Ctrl::MutateAck`] mutation stream, the [`Ctrl::Query`] /
 /// [`Ctrl::QueryReply`] request pair, and [`Ctrl::SessionEnd`] —
 /// plus the persistent-fleet worker mode where `Done` loops back to
-/// "await the next `Assignment`" instead of exiting.
-pub const PROTO_VERSION: u32 = 5;
+/// "await the next `Assignment`" instead of exiting. v6 removed the
+/// legacy thread-per-link data plane: the `BarrierUp`/`BarrierDown`
+/// tree-barrier control words (tags 5 and 6, retired), the
+/// `event_loop` run option, the checkpoint tables only that path used,
+/// and the wire-wait counter of the heartbeat telemetry block.
+pub const PROTO_VERSION: u32 = 6;
 
 /// Upper bound on a frame's encoded size (64 MiB). A length prefix
 /// beyond this is treated as corruption rather than honored with a
@@ -45,11 +49,11 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 wire_codec! {
     /// The control vocabulary of the transport. Grouped by plane:
     /// handshake (`Hello`/`Assignment`/`Ready`/`Start`), the
-    /// bulk-synchronous data plane (`RoundBundle` plus either the
-    /// `BarrierUp`/`BarrierDown` allreduce legs on the legacy path or
-    /// the rank-to-rank `RoundDone` wave on the event-loop path),
-    /// liveness (`Heartbeat`/`FaultPoint`), and the results plane
-    /// (`Stats`/`Outcome`/`Events`/`Done`/`Shutdown`/`Fatal`).
+    /// bulk-synchronous data plane (`RoundBundle` plus the rank-to-rank
+    /// `RoundDone` wave), liveness (`Heartbeat`/`FaultPoint`), and the
+    /// results plane (`Stats`/`Outcome`/`Events`/`Done`/`Shutdown`/
+    /// `Fatal`). Tags 5 and 6 are retired (the v5 tree-barrier legs):
+    /// they decode as an unknown control word and are never reused.
     #[derive(Clone, Copy, Debug, PartialEq)]
     pub enum Ctrl {
         /// First frame on every link: who is dialing, speaking which
@@ -74,16 +78,16 @@ wire_codec! {
         },
         /// Supervisor -> worker: every rank is ready, begin round 0.
         3 => Start,
-        /// One rank's bundled sends to one peer for one round. Exactly
-        /// one per (round, ordered link) — an empty bundle doubles as
-        /// the "no more data this round" marker the receiver's
-        /// `DoneWave` counts.
+        /// One rank's bundled sends to one peer for one round: at most
+        /// one per (round, ordered link), and none when the rank has
+        /// nothing for that peer. The [`Ctrl::RoundDone`] that follows
+        /// it on the link is the "no more data this round" marker.
         4 => RoundBundle {
             /// The round these sends belong to.
             round: u64,
             /// The sending rank.
             src: u32,
-            /// Wire packets in the payload (0 = pure marker).
+            /// Wire packets in the payload (at least one).
             npackets: u32,
             /// Trace context: the sender's monotonic clock at send,
             /// microseconds since its `Start`. Together with `round`
@@ -92,22 +96,6 @@ wire_codec! {
             /// rank's timeline. `u64::MAX` when the sender has no
             /// epoch yet.
             sent_micros: u64,
-        },
-        /// Termination-allreduce leg toward the tree root: "my subtree
-        /// had this much activity in `round`".
-        5 => BarrierUp {
-            /// The round being summarized.
-            round: u64,
-            /// 1 if any rank in the subtree was active or sent.
-            active: u8,
-        },
-        /// Termination-allreduce leg away from the root: the global
-        /// keep-going decision for `round`.
-        6 => BarrierDown {
-            /// The round being decided.
-            round: u64,
-            /// 1 = another round follows, 0 = quiesce.
-            keep: u8,
         },
         /// Worker -> supervisor liveness beacon, carrying round
         /// progress so the supervisor can tell "alive and working"
@@ -188,11 +176,10 @@ wire_codec! {
         /// `round`, and here is my activity bit" — one per (round,
         /// ordered link), sent right after that round's sends. Because
         /// links are FIFO (resequenced), receiving this frame proves
-        /// the sender's round bundle (if any — empty bundles are
-        /// elided on the event-loop path) has already been delivered,
-        /// so counting `RoundDone`s with the substrate's `DoneWave` is
-        /// simultaneously the bundle-completeness test and the
-        /// termination vote: each rank ORs the `active` bits of all
+        /// the sender's round bundle (if it sent one) has already been
+        /// delivered, so counting `RoundDone`s with the substrate's
+        /// `DoneWave` is simultaneously the bundle-completeness test and
+        /// the termination vote: each rank ORs the `active` bits of all
         /// peers with its own to compute the keep-going decision
         /// locally, with no allreduce on the round critical path.
         16 => RoundDone {
@@ -567,6 +554,24 @@ mod tests {
             Err(NetError::Protocol { detail }) => assert!(detail.contains("frame length")),
             other => {
                 panic!("expected protocol error, got {other:?}");
+            }
+        }
+        // Retired control tags (the v5 tree-barrier legs) no longer
+        // decode, whether read blocking or reassembled.
+        for tag in [5u8, 6] {
+            let mut wire = 18u32.to_le_bytes().to_vec();
+            wire.extend_from_slice(&[0u8; 8]);
+            wire.push(tag);
+            wire.extend_from_slice(&[0u8; 9]);
+            let mut asm = FrameAssembler::new();
+            asm.extend(&wire);
+            for res in [read_frame(&mut &wire[..]), asm.next_frame()] {
+                match res {
+                    Err(NetError::Protocol { detail }) => {
+                        assert!(detail.contains(&format!("first byte {tag}")), "{detail}")
+                    }
+                    other => panic!("tag {tag}: expected protocol error, got {other:?}"),
+                }
             }
         }
     }

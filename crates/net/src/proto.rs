@@ -171,12 +171,6 @@ pub struct RunOptions {
     /// them on heartbeats (cheap, on by default; off for overhead
     /// A/B runs).
     pub telemetry: bool,
-    /// Event-driven data plane (on by default): one poll-based reactor
-    /// thread instead of a reader thread per link, coalesced vectored
-    /// frame writes, and the rank-to-rank `RoundDone` wave in place of
-    /// the per-round tree allreduce. Off = the legacy path, kept alive
-    /// for A/B attribution and fault coverage.
-    pub event_loop: bool,
     /// Ship a [`Ctrl::Checkpoint`](crate::frame::Ctrl::Checkpoint)
     /// every this many rounds (at round edges where `completed % k ==
     /// 0`, matching the in-process engines' oracle cadence). 0 = off;
@@ -197,7 +191,6 @@ impl Default for RunOptions {
             die_at_round: NEVER,
             run_id: 0,
             telemetry: true,
-            event_loop: true,
             checkpoint_every: 0,
         }
     }
@@ -290,7 +283,6 @@ fn encode_options(out: &mut impl BufMut, opts: &RunOptions) {
     out.put_u64_le(opts.die_at_round);
     out.put_u64_le(opts.run_id);
     out.put_u8(u8::from(opts.telemetry));
-    out.put_u8(u8::from(opts.event_loop));
     out.put_u64_le(opts.checkpoint_every);
 }
 
@@ -311,7 +303,6 @@ fn decode_options(buf: &mut impl Buf) -> Result<RunOptions, NetError> {
         die_at_round: take_u64(buf, "die_at_round")?,
         run_id: take_u64(buf, "run_id")?,
         telemetry: take_u8(buf, "telemetry flag")? != 0,
-        event_loop: take_u8(buf, "event_loop flag")? != 0,
         checkpoint_every: take_u64(buf, "checkpoint_every")?,
     })
 }
@@ -554,21 +545,11 @@ pub struct TransportSnapshot {
     /// Restored so gap re-sends the rank already consumed before the
     /// crash are dup-discarded instead of double-delivered.
     pub reseq_next: Vec<u64>,
-    /// In-flight tree-allreduce accumulators: `(phase, count, value)`
-    /// (legacy barrier path).
-    pub tree_in_flight: Vec<(u32, u64, u64)>,
-    /// In-flight done-wave counters: `(phase, count)` (event-loop
-    /// path).
+    /// In-flight done-wave counters: `(phase, count)`.
     pub wave_in_flight: Vec<(u32, u64)>,
     /// Per-round OR of peer activity bits not yet consumed by the wave:
     /// `(round, active)`.
     pub peer_active: Vec<(u64, u8)>,
-    /// Per-round count of round bundles received but not yet delivered:
-    /// `(round, count)`.
-    pub bundles: Vec<(u64, u32)>,
-    /// Barrier keep-going decisions received early: `(round, keep)`
-    /// (legacy path).
-    pub barrier_down: Vec<(u64, u8)>,
     /// Buffered round packets awaiting delivery, keyed by the round
     /// they were sent in: `(round, [(src, logical_bytes, payload)])`.
     pub pending: Vec<(u64, Vec<PendingPacket>)>,
@@ -625,18 +606,15 @@ pub fn encode_checkpoint_into(
     program_len_hint: usize,
     write_program: impl FnOnce(&mut Vec<u8>),
 ) {
-    // Exact sizes of every section below: round + stats + 9 length
+    // Exact sizes of every section below: round + stats + 6 length
     // words, plus the per-element widths the decoder assumes.
     let cap = 8
         + 72
-        + 9 * 8
+        + 6 * 8
         + program_len_hint
         + 8 * (t.writer_next_seq.len() + t.reseq_next.len())
-        + 20 * t.tree_in_flight.len()
         + 12 * t.wave_in_flight.len()
         + 9 * t.peer_active.len()
-        + 12 * t.bundles.len()
-        + 9 * t.barrier_down.len()
         + t.pending
             .iter()
             .map(|(_, ps)| 16 + ps.iter().map(|(_, _, p)| 16 + p.len()).sum::<usize>())
@@ -659,12 +637,6 @@ pub fn encode_checkpoint_into(
     for &s in &t.reseq_next {
         out.put_u64_le(s);
     }
-    out.put_u64_le(t.tree_in_flight.len() as u64);
-    for &(phase, count, value) in &t.tree_in_flight {
-        out.put_u32_le(phase);
-        out.put_u64_le(count);
-        out.put_u64_le(value);
-    }
     out.put_u64_le(t.wave_in_flight.len() as u64);
     for &(phase, count) in &t.wave_in_flight {
         out.put_u32_le(phase);
@@ -674,16 +646,6 @@ pub fn encode_checkpoint_into(
     for &(round, active) in &t.peer_active {
         out.put_u64_le(round);
         out.put_u8(active);
-    }
-    out.put_u64_le(t.bundles.len() as u64);
-    for &(round, count) in &t.bundles {
-        out.put_u64_le(round);
-        out.put_u32_le(count);
-    }
-    out.put_u64_le(t.barrier_down.len() as u64);
-    for &(round, keep) in &t.barrier_down {
-        out.put_u64_le(round);
-        out.put_u8(keep);
     }
     out.put_u64_le(t.pending.len() as u64);
     for (round, packets) in &t.pending {
@@ -716,11 +678,6 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
     for _ in 0..n {
         t.reseq_next.push(buf.get_u64_le());
     }
-    let n = take_len(buf, 20, "tree in-flight")?;
-    for _ in 0..n {
-        t.tree_in_flight
-            .push((buf.get_u32_le(), buf.get_u64_le(), buf.get_u64_le()));
-    }
     let n = take_len(buf, 12, "wave in-flight")?;
     for _ in 0..n {
         t.wave_in_flight.push((buf.get_u32_le(), buf.get_u64_le()));
@@ -728,14 +685,6 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
     let n = take_len(buf, 9, "peer_active")?;
     for _ in 0..n {
         t.peer_active.push((buf.get_u64_le(), buf.get_u8()));
-    }
-    let n = take_len(buf, 12, "bundle counts")?;
-    for _ in 0..n {
-        t.bundles.push((buf.get_u64_le(), buf.get_u32_le()));
-    }
-    let n = take_len(buf, 9, "barrier_down")?;
-    for _ in 0..n {
-        t.barrier_down.push((buf.get_u64_le(), buf.get_u8()));
     }
     let n = take_len(buf, 16, "pending rounds")?;
     for _ in 0..n {
@@ -763,10 +712,9 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointState, NetError> {
 /// Serializes the cumulative telemetry block a worker piggybacks on a
 /// `Heartbeat` frame's payload (see [`cmg_obs::RankTelemetry`]).
 pub fn encode_telemetry(t: &cmg_obs::RankTelemetry) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 11 * 8);
+    let mut out = Vec::with_capacity(4 + 10 * 8);
     out.put_u32_le(t.rank);
     out.put_u64_le(t.round);
-    out.put_u64_le(t.wire_wait_ns);
     out.put_u64_le(t.delivery_ns);
     out.put_u64_le(t.compute_ns);
     out.put_u64_le(t.serialize_ns);
@@ -785,7 +733,6 @@ pub fn decode_telemetry(mut buf: &[u8]) -> Result<cmg_obs::RankTelemetry, NetErr
     Ok(cmg_obs::RankTelemetry {
         rank: take_u32(buf, "telemetry rank")?,
         round: take_u64(buf, "telemetry round")?,
-        wire_wait_ns: take_u64(buf, "wire_wait_ns")?,
         delivery_ns: take_u64(buf, "delivery_ns")?,
         compute_ns: take_u64(buf, "compute_ns")?,
         serialize_ns: take_u64(buf, "serialize_ns")?,
@@ -914,7 +861,6 @@ mod tests {
                     die_at_round: 12,
                     run_id: 0xDEAD_BEEF_0042,
                     telemetry: false,
-                    event_loop: false,
                     checkpoint_every: 3,
                 },
                 resume: None,
@@ -971,13 +917,58 @@ mod tests {
         // change to its byte layout; a deliberate change needs a
         // PROTO_VERSION bump and a new pin.
         let bytes = encode(&pinned_assignment());
-        assert_eq!(bytes.len(), 335);
+        assert_eq!(bytes.len(), 334);
         assert_eq!(
             cmg_runtime::delivery::payload_fingerprint(&bytes),
-            0xB977_4EEE_F62C_3A3B,
+            0x6D30_A608_BD34_D71A,
             "assignment wire layout changed"
         );
         assert_eq!(decode_assignment(&bytes).unwrap(), pinned_assignment());
+    }
+
+    /// A checkpoint with every transport table populated.
+    fn pinned_checkpoint() -> CheckpointState {
+        CheckpointState {
+            round: 12,
+            stats: RankStats {
+                packets_sent: 40,
+                packets_received: 38,
+                messages_sent: 90,
+                bytes_sent: 720,
+                bytes_received: 700,
+                messages_received: 88,
+                work: 300,
+                rounds_active: 13,
+                virtual_time: 0.0,
+            },
+            program: vec![9, 8, 7, 6],
+            transport: TransportSnapshot {
+                writer_next_seq: vec![0, 14, 15],
+                reseq_next: vec![0, 13, 16],
+                wave_in_flight: vec![(13, 2)],
+                peer_active: vec![(13, 1)],
+                pending: vec![
+                    (12, vec![(1, 40, vec![1, 2, 3]), (2, 8, vec![])]),
+                    (13, vec![(2, 16, vec![4, 5])]),
+                ],
+            },
+        }
+    }
+
+    #[test]
+    fn checkpoint_wire_bytes_are_pinned() {
+        // Checkpoint blobs ride opaquely inside `Ctrl::Checkpoint`
+        // frames and resume assignments, so cmg-analyze's wire-drift
+        // rule does not see this hand-written layout either. A
+        // deliberate change needs a PROTO_VERSION bump and a new pin.
+        let bytes = encode_checkpoint(&pinned_checkpoint());
+        assert_eq!(bytes.len(), 286);
+        assert_eq!(
+            cmg_runtime::delivery::payload_fingerprint(&bytes),
+            0x2A44_CFA9_55C2_52D3,
+            "checkpoint wire layout changed"
+        );
+        assert_eq!(decode_checkpoint(&bytes).unwrap(), pinned_checkpoint());
     }
 
     /// Measures the largest single allocation the current thread makes,
@@ -1141,7 +1132,6 @@ mod tests {
         let t = cmg_obs::RankTelemetry {
             rank: 3,
             round: 17,
-            wire_wait_ns: 1,
             delivery_ns: 2,
             compute_ns: 3,
             serialize_ns: 4,
@@ -1159,39 +1149,18 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trip() {
-        let c = CheckpointState {
-            round: 12,
-            stats: RankStats {
-                packets_sent: 40,
-                packets_received: 38,
-                messages_sent: 90,
-                bytes_sent: 720,
-                bytes_received: 700,
-                messages_received: 88,
-                work: 300,
-                rounds_active: 13,
-                virtual_time: 0.0,
-            },
-            program: vec![9, 8, 7, 6],
-            transport: TransportSnapshot {
-                writer_next_seq: vec![0, 14, 15],
-                reseq_next: vec![0, 13, 16],
-                tree_in_flight: vec![(13, 1, 1)],
-                wave_in_flight: vec![(13, 2)],
-                peer_active: vec![(13, 1)],
-                bundles: vec![(12, 2), (13, 1)],
-                barrier_down: vec![(13, 1)],
-                pending: vec![
-                    (12, vec![(1, 40, vec![1, 2, 3]), (2, 8, vec![])]),
-                    (13, vec![(2, 16, vec![4, 5])]),
-                ],
-            },
-        };
+        let c = pinned_checkpoint();
         let bytes = encode_checkpoint(&c);
         assert_eq!(decode_checkpoint(&bytes).unwrap(), c);
-        // Truncations are diagnosed, never panics.
-        for cut in [0, 8, 72, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_checkpoint(&bytes[..cut]).is_err(), "cut at {cut}");
+        // Every truncation is diagnosed, never a panic, and never
+        // allocates past the bytes actually present.
+        for cut in 0..bytes.len() {
+            let (res, peak) = peak_alloc::largest_during(|| decode_checkpoint(&bytes[..cut]));
+            assert!(res.is_err(), "cut at {cut} must fail");
+            assert!(
+                peak <= cut + ERROR_SLACK,
+                "cut at {cut}: allocated {peak} bytes"
+            );
         }
         // An empty checkpoint (degenerate but legal) round-trips too.
         let empty = CheckpointState::default();

@@ -160,12 +160,6 @@ pub struct NetConfig {
     pub telemetry: bool,
     /// Explicit worker binary path; `None` = locate or build it.
     pub worker_binary: Option<PathBuf>,
-    /// Whether workers run the event-driven data plane: a single
-    /// poll-based reactor instead of per-link reader threads, coalesced
-    /// vectored writes, and the rank-to-rank [`Ctrl::RoundDone`] wave in
-    /// place of the on-the-wire tree barrier. `false` selects the legacy
-    /// thread-per-link path (kept as the A/B baseline for benches).
-    pub event_loop: bool,
 }
 
 impl Default for NetConfig {
@@ -183,7 +177,6 @@ impl Default for NetConfig {
             recorder: RecorderHandle::noop(),
             telemetry: true,
             worker_binary: None,
-            event_loop: true,
         }
     }
 }
@@ -211,7 +204,7 @@ pub struct NetOutcome {
     /// Wall-clock seconds, spawn to last exit.
     pub wall_time: f64,
     /// Wall-clock seconds of the round protocol alone: the slowest
-    /// rank's own `Start`-receipt-to-final-barrier loop clock.
+    /// rank's own `Start`-receipt-to-final-round-edge loop clock.
     /// Excludes process spawn, mesh connect, handshake, and result
     /// shipping — the number to compare when the transport itself is
     /// being measured.
@@ -802,7 +795,6 @@ impl LaunchPlan<'_> {
             die_at_round: self.kill.die_at_round(rank),
             run_id: self.run_id,
             telemetry: self.cfg.telemetry,
-            event_loop: self.cfg.event_loop,
             checkpoint_every: self.cfg.checkpoint_every,
         };
         let resume = self

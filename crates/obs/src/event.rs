@@ -66,14 +66,14 @@ pub enum PhaseName {
     /// Encoding, bundling, and enqueueing outbound packets.
     Send,
     /// Blocked on the socket waiting for the previous round's bundles
-    /// (net engine only).
+    /// (net engine, pre-v6 traces only).
     WireWait,
-    /// Blocked inside the end-of-round allreduce barrier (net engine
-    /// only, legacy thread-per-link path).
+    /// Blocked inside the end-of-round allreduce barrier (net engine,
+    /// pre-v6 traces only: the removed thread-per-link path).
     BarrierWait,
-    /// Blocked in the rank-to-rank round-done wave — the event-driven
-    /// net path's round edge, which subsumes both the bundle wait and
-    /// the termination barrier (net engine only).
+    /// Blocked in the rank-to-rank round-done wave — the net engine's
+    /// round edge, which subsumes both the bundle wait and the
+    /// termination barrier (net engine only).
     DoneWave,
     /// Time in-order delivery was stalled by the resequencer holding
     /// out-of-order frames (net engine only; absent when no frame was

@@ -19,11 +19,11 @@
 //!
 //! Round attribution needs no explicit round ids on spans: the net
 //! worker closes every round with exactly one edge span —
-//! [`PhaseName::DoneWave`] on the event-driven path,
-//! [`PhaseName::BarrierWait`] on the legacy thread-per-link path — so a
-//! span's round is the number of edge spans its rank has already
-//! emitted. This keeps the hot-path event unchanged, and pre-v3 traces
-//! (which only ever contain `barrier_wait`) segment exactly as before.
+//! [`PhaseName::DoneWave`], or [`PhaseName::BarrierWait`] in traces
+//! written by the thread-per-link path that v6 removed — so a span's
+//! round is the number of edge spans its rank has already emitted.
+//! This keeps the hot-path event unchanged, and older traces (which
+//! only ever contain `barrier_wait`) segment exactly as before.
 
 use crate::event::{Event, PhaseName, TimedEvent, ENGINE_RANK};
 use crate::json::Json;
@@ -40,15 +40,14 @@ pub struct RankTelemetry {
     pub rank: u32,
     /// Highest round the rank has entered.
     pub round: u64,
-    /// Time blocked on sockets waiting for the previous round's bundles.
-    pub wire_wait_ns: u64,
     /// Time decoding and delivering inbound bundles.
     pub delivery_ns: u64,
     /// Time in the rank program.
     pub compute_ns: u64,
     /// Time encoding and writing outbound bundles ("serialize").
     pub serialize_ns: u64,
-    /// Time blocked in the end-of-round allreduce barrier.
+    /// Time blocked at the round edge (the done wave, which subsumes
+    /// the wait for the previous round's bundles).
     pub barrier_wait_ns: u64,
     /// Time in-order delivery was stalled by the resequencer.
     pub reseq_hold_ns: u64,
@@ -65,8 +64,7 @@ pub struct RankTelemetry {
 impl RankTelemetry {
     /// Total accounted time: waits plus work, nanoseconds.
     pub fn total_ns(&self) -> u64 {
-        self.wire_wait_ns
-            .saturating_add(self.delivery_ns)
+        self.delivery_ns
             .saturating_add(self.compute_ns)
             .saturating_add(self.serialize_ns)
             .saturating_add(self.barrier_wait_ns)
@@ -79,9 +77,9 @@ impl RankTelemetry {
             .saturating_add(self.serialize_ns)
     }
 
-    /// Time waiting on peers (socket + barrier), nanoseconds.
+    /// Time waiting on peers (the round edge), nanoseconds.
     pub fn wait_ns(&self) -> u64 {
-        self.wire_wait_ns.saturating_add(self.barrier_wait_ns)
+        self.barrier_wait_ns
     }
 
     /// JSON object with every counter, stable key order.
@@ -89,7 +87,6 @@ impl RankTelemetry {
         Json::obj(vec![
             ("rank", Json::UInt(self.rank.into())),
             ("round", Json::UInt(self.round)),
-            ("wire_wait_ns", Json::UInt(self.wire_wait_ns)),
             ("delivery_ns", Json::UInt(self.delivery_ns)),
             ("compute_ns", Json::UInt(self.compute_ns)),
             ("serialize_ns", Json::UInt(self.serialize_ns)),
@@ -360,8 +357,7 @@ impl TraceReport {
     /// time-sorted stream from the recorder/sinks qualifies): a span's
     /// round is the number of round-edge spans its rank emitted before
     /// it, because the net worker closes every round with exactly one
-    /// edge span — `done_wave` on the event-driven path, `barrier_wait`
-    /// on the legacy path (and in pre-v3 traces).
+    /// edge span — `done_wave`, or `barrier_wait` in pre-v6 traces.
     pub fn from_events(events: &[TimedEvent]) -> TraceReport {
         // rank -> (current round, per-round accumulators)
         let mut per_rank: std::collections::BTreeMap<u32, (usize, Vec<RankRound>)> =
@@ -815,21 +811,21 @@ mod tests {
         health.observe(RankTelemetry {
             rank: 0,
             round: 5,
-            wire_wait_ns: 100,
+            barrier_wait_ns: 100,
             compute_ns: 900,
             ..Default::default()
         });
         health.observe(RankTelemetry {
             rank: 1,
             round: 4,
-            wire_wait_ns: 10,
+            barrier_wait_ns: 10,
             compute_ns: 990,
             ..Default::default()
         });
         health.observe(RankTelemetry {
             rank: 2,
             round: 5,
-            wire_wait_ns: 400,
+            barrier_wait_ns: 400,
             compute_ns: 600,
             ..Default::default()
         });
@@ -844,7 +840,7 @@ mod tests {
         health.observe(RankTelemetry {
             rank: 1,
             round: 5,
-            wire_wait_ns: 10,
+            barrier_wait_ns: 10,
             compute_ns: 1990,
             ..Default::default()
         });
@@ -859,7 +855,6 @@ mod tests {
         let t = RankTelemetry {
             rank: 2,
             round: 9,
-            wire_wait_ns: 1,
             delivery_ns: 2,
             compute_ns: 3,
             serialize_ns: 4,
@@ -870,9 +865,9 @@ mod tests {
             reseq_pending: 9,
             max_bundle_lag_micros: 10,
         };
-        assert_eq!(t.total_ns(), 1 + 2 + 3 + 4 + 5);
+        assert_eq!(t.total_ns(), 2 + 3 + 4 + 5);
         assert_eq!(t.busy_ns(), 2 + 3 + 4);
-        assert_eq!(t.wait_ns(), 6);
+        assert_eq!(t.wait_ns(), 5);
         let j = t.to_json();
         assert_eq!(j.get("reseq_pending").and_then(Json::as_u64), Some(9));
         assert_eq!(j.get("round").and_then(Json::as_u64), Some(9));

@@ -15,9 +15,8 @@
 //!   bookkeeping.
 //! * [`DoneWave`] — counts per-phase DONE announcements from a rank
 //!   scope.
-//! * [`TreeAllreduce`] — a k-ary reduction tree over a [`Monoid`],
-//!   replacing the 8-ary trees previously copied into both coloring
-//!   programs.
+//! * [`TreeAllreduce`] — a k-ary sum-reduction tree, replacing the
+//!   8-ary trees previously copied into both coloring programs.
 //! * [`fan_out`] — the trivial "same message to each rank in scope"
 //!   primitive.
 //!
@@ -27,29 +26,6 @@
 
 use crate::message::WireMessage;
 use crate::program::{Rank, RankCtx};
-
-/// A commutative, associative combine with an identity — the reduction
-/// operator of a [`TreeAllreduce`].
-pub trait Monoid: Copy {
-    /// The neutral element (`identity.combine(x) == x`).
-    fn identity() -> Self;
-    /// The combine operator.
-    fn combine(self, other: Self) -> Self;
-}
-
-/// u64 under addition — the "total remaining work" reduction both
-/// coloring programs use for their termination test.
-impl Monoid for u64 {
-    #[inline]
-    fn identity() -> Self {
-        0
-    }
-
-    #[inline]
-    fn combine(self, other: Self) -> Self {
-        self + other
-    }
-}
 
 /// Sends `msg` to every rank in `scope`, in order. The caller controls
 /// the scope list (and thereby the send order), so ports of existing
@@ -63,25 +39,26 @@ pub fn fan_out<M: WireMessage>(ctx: &mut RankCtx<M>, scope: &[Rank], msg: &M) {
 /// What completing one level of a [`TreeAllreduce`] asks the caller to
 /// do with the combined value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReduceOutcome<T> {
+pub enum ReduceOutcome {
     /// Interior/leaf rank: forward `value` to `parent`.
     ToParent {
         /// This rank's parent in the reduction tree.
         parent: Rank,
-        /// Own contribution combined with all children's.
-        value: T,
+        /// Own contribution summed with all children's.
+        value: u64,
     },
     /// Root rank: `value` is the global reduction; act on it (typically
     /// broadcast a decision back down the same tree).
     Root {
-        /// The global combined value.
-        value: T,
+        /// The global sum.
+        value: u64,
     },
 }
 
-/// A k-ary tree reduction over a [`Monoid`], keyed by phase so
-/// contributions from different phases never mix even when messages
-/// from consecutive phases overlap in flight.
+/// A k-ary tree sum over `u64` contributions — the "total remaining
+/// work" reduction both coloring programs use for their termination
+/// test — keyed by phase so contributions from different phases never
+/// mix even when messages from consecutive phases overlap in flight.
 ///
 /// The tree is the classic implicit heap layout: rank `r`'s children
 /// are `k*r + 1 ..= k*r + k` (those `< num_ranks`) and its parent is
@@ -90,7 +67,7 @@ pub enum ReduceOutcome<T> {
 /// and [`TreeAllreduce::try_complete`] once its own contribution is
 /// ready, then sends the resulting value itself.
 #[derive(Clone, Debug)]
-pub struct TreeAllreduce<T: Monoid> {
+pub struct TreeAllreduce {
     rank: Rank,
     num_children: usize,
     parent: Option<Rank>,
@@ -98,10 +75,10 @@ pub struct TreeAllreduce<T: Monoid> {
     /// Per-phase partial sums: (phase, children heard from, accumulated
     /// value). Tiny (≤ a couple of in-flight phases), so a flat vec
     /// beats a map.
-    acc: Vec<(u32, usize, T)>,
+    acc: Vec<(u32, usize, u64)>,
 }
 
-impl<T: Monoid> TreeAllreduce<T> {
+impl TreeAllreduce {
     /// A reduction tree of the given arity over ranks `0..num_ranks`,
     /// rooted at rank 0.
     pub fn new(rank: Rank, num_ranks: Rank, arity: u32) -> Self {
@@ -132,11 +109,11 @@ impl<T: Monoid> TreeAllreduce<T> {
     }
 
     /// Records a child's contribution for `phase`.
-    pub fn absorb_child(&mut self, phase: u32, value: T) {
+    pub fn absorb_child(&mut self, phase: u32, value: u64) {
         match self.acc.iter_mut().find(|e| e.0 == phase) {
             Some(entry) => {
                 entry.1 += 1;
-                entry.2 = entry.2.combine(value);
+                entry.2 += value;
             }
             None => self.acc.push((phase, 1, value)),
         }
@@ -147,28 +124,28 @@ impl<T: Monoid> TreeAllreduce<T> {
     /// reductions are algorithm state — a checkpoint that omits them
     /// restores a rank that waits forever for contributions its peers
     /// already sent.
-    pub fn in_flight(&self) -> &[(u32, usize, T)] {
+    pub fn in_flight(&self) -> &[(u32, usize, u64)] {
         &self.acc
     }
 
     /// Restore accessor: reinstates partial sums captured by
     /// [`TreeAllreduce::in_flight`] into a freshly built tree.
-    pub fn restore_in_flight(&mut self, acc: Vec<(u32, usize, T)>) {
+    pub fn restore_in_flight(&mut self, acc: Vec<(u32, usize, u64)>) {
         self.acc = acc;
     }
 
-    /// Once every child of `phase` has been absorbed, combines in this
-    /// rank's own contribution and says what to do with the result;
+    /// Once every child of `phase` has been absorbed, adds this rank's
+    /// own contribution and says what to do with the result;
     /// `None` while contributions are still outstanding. Completing a
     /// phase clears its slot, so the tree is reusable across phases.
-    pub fn try_complete(&mut self, phase: u32, own: T) -> Option<ReduceOutcome<T>> {
+    pub fn try_complete(&mut self, phase: u32, own: u64) -> Option<ReduceOutcome> {
         let pos = self.acc.iter().position(|e| e.0 == phase);
         let got = pos.map_or(0, |i| self.acc[i].1);
         if got < self.num_children {
             return None;
         }
         let value = match pos {
-            Some(i) => self.acc.swap_remove(i).2.combine(own),
+            Some(i) => self.acc.swap_remove(i).2 + own,
             None => own,
         };
         Some(match self.parent {
@@ -420,24 +397,24 @@ mod tests {
 
     #[test]
     fn tree_shape_matches_implicit_heap() {
-        let t: TreeAllreduce<u64> = TreeAllreduce::new(0, 20, 8);
+        let t = TreeAllreduce::new(0, 20, 8);
         assert_eq!(t.parent(), None);
         assert_eq!(t.children(), &[1, 2, 3, 4, 5, 6, 7, 8]);
-        let t: TreeAllreduce<u64> = TreeAllreduce::new(2, 20, 8);
+        let t = TreeAllreduce::new(2, 20, 8);
         assert_eq!(t.parent(), Some(0));
         assert_eq!(t.children(), &[17, 18, 19]);
-        let t: TreeAllreduce<u64> = TreeAllreduce::new(9, 20, 8);
+        let t = TreeAllreduce::new(9, 20, 8);
         assert_eq!(t.parent(), Some(1));
         assert!(t.children().is_empty());
         // Binary tree, for arity generality.
-        let t: TreeAllreduce<u64> = TreeAllreduce::new(1, 7, 2);
+        let t = TreeAllreduce::new(1, 7, 2);
         assert_eq!(t.parent(), Some(0));
         assert_eq!(t.children(), &[3, 4]);
     }
 
     #[test]
     fn reduce_combines_children_then_own() {
-        let mut t: TreeAllreduce<u64> = TreeAllreduce::new(0, 3, 8);
+        let mut t = TreeAllreduce::new(0, 3, 8);
         assert_eq!(t.try_complete(0, 5), None);
         t.absorb_child(0, 10);
         assert_eq!(t.try_complete(0, 5), None);
@@ -454,7 +431,7 @@ mod tests {
 
     #[test]
     fn reduce_interleaved_phases_stay_separate() {
-        let mut t: TreeAllreduce<u64> = TreeAllreduce::new(1, 20, 8);
+        let mut t = TreeAllreduce::new(1, 20, 8);
         // Rank 1's children are 9..=16 (8 of them).
         for v in 0..8u64 {
             t.absorb_child(7, v);
@@ -484,7 +461,7 @@ mod tests {
 
     #[test]
     fn leaf_completes_immediately() {
-        let mut t: TreeAllreduce<u64> = TreeAllreduce::new(9, 10, 8);
+        let mut t = TreeAllreduce::new(9, 10, 8);
         assert_eq!(
             t.try_complete(0, 42),
             Some(ReduceOutcome::ToParent {

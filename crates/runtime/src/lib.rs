@@ -42,8 +42,7 @@ pub use bundle::OutBox;
 pub use cmg_obs::SchedStats;
 pub use codec::WireField;
 pub use collectives::{
-    fan_out, DestDedup, DoneWave, FanoutScheme, Monoid, NeighborExchange, ReduceOutcome,
-    TreeAllreduce,
+    fan_out, DestDedup, DoneWave, FanoutScheme, NeighborExchange, ReduceOutcome, TreeAllreduce,
 };
 pub use cost::{CostModel, MachinePreset};
 pub use delivery::{DeliveryKey, DeliveryPolicy, DeliveryScript};

@@ -234,31 +234,6 @@ fn killed_worker_recovers_from_checkpoint_bit_identically() {
     );
 }
 
-/// The same recovery on the legacy (thread-per-link, tree-barrier)
-/// path, whose barrier certifies votes but not bundle arrival — the
-/// checkpoint edge performs an explicit bundle wait there.
-#[test]
-fn legacy_path_recovers_from_checkpoint_bit_identically() {
-    let g = weighted_grid();
-    let base = NetConfig {
-        event_loop: false,
-        ..Default::default()
-    };
-    let clean = run_task(parts(&g, 4), RECOVERY_TASK, &base).expect("clean legacy run");
-    let cfg = NetConfig {
-        kill: KillSpec::KillAtRound { rank: 2, round: 5 },
-        checkpoint_every: 2,
-        heartbeat: Duration::from_millis(50),
-        event_loop: false,
-        ..Default::default()
-    };
-    let recovered =
-        run_task(parts(&g, 4), RECOVERY_TASK, &cfg).expect("legacy path must recover too");
-    assert_eq!(recovered.health.recoveries(), 1);
-    assert_eq!(clean.outcomes, recovered.outcomes);
-    assert_eq!(clean.stats.per_rank, recovered.stats.per_rank);
-}
-
 /// Two scripted kills, recovered twice: the supervisor retires the
 /// fired kill-plan entry at each relaunch and arms the next, and the
 /// second recovery resumes from a *newer* checkpoint edge.
@@ -350,16 +325,15 @@ fn checkpointing_off_leaves_death_diagnosis_unchanged() {
 }
 
 // ---------------------------------------------------------------------------
-// Coalesced-batch faults (event-driven path). Fault decisions are fixed
-// per frame at enqueue time, so a batch is just the syscall envelope —
+// Coalesced-batch faults. Fault decisions are fixed per frame at
+// enqueue time, so a batch is just the syscall envelope —
 // these tests pin down that faults hitting batched frames behave exactly
 // like faults hitting per-frame writes.
 // ---------------------------------------------------------------------------
 
-/// Dup/delay faults under the default event-driven path, where frames
-/// ride in coalesced vectored batches: results must stay bit-identical
-/// and duplicate batches must be discarded by the resequencer, exactly
-/// as on the per-frame path.
+/// Dup/delay faults on frames that ride in coalesced vectored batches:
+/// results and round counts must stay bit-identical to a clean run, and
+/// duplicate batches must be discarded by the resequencer.
 #[test]
 fn coalesced_batches_survive_dup_delay_faults_bit_identically() {
     let g = weighted_grid();
@@ -371,30 +345,20 @@ fn coalesced_batches_survive_dup_delay_faults_bit_identically() {
         delay_depth: 3,
     };
     let clean = run_matching(parts(&g, 4), &NetConfig::default()).expect("clean run");
-    let event = run_matching(
+    let faulted = run_matching(
         parts(&g, 4),
         &NetConfig {
             fault,
             ..Default::default()
         },
     )
-    .expect("faulty event-loop run terminates");
-    let legacy = run_matching(
-        parts(&g, 4),
-        &NetConfig {
-            fault,
-            event_loop: false,
-            ..Default::default()
-        },
-    )
-    .expect("faulty legacy run terminates");
-    assert_eq!(clean.matching, event.matching);
-    assert_eq!(event.matching, legacy.matching);
-    assert_eq!(event.rounds, legacy.rounds);
-    let t = &event.links.total;
+    .expect("faulty run terminates");
+    assert_eq!(clean.matching, faulted.matching);
+    assert_eq!(clean.rounds, faulted.rounds);
+    let t = &faulted.links.total;
     assert!(
         t.frames_coalesced > 0,
-        "the event path must actually have batched frames"
+        "the writers must actually have batched frames"
     );
     assert!(
         t.duplicated_by_fault > 0 && t.delayed_by_fault > 0,
